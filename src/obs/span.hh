@@ -7,13 +7,13 @@
  * (jitsched-cli or the router) and propagated over the wire as the
  * optional `option trace-id <hex>` request line.  It is deliberately
  * fingerprint-neutral: requestFingerprint() never sees it, so the
- * EvalCache, CachedFirst admission and consistent-hash affinity
- * behave identically whether or not a request is traced (DESIGN.md
- * Sec. 5g).
+ * EvalCache and consistent-hash affinity behave identically whether
+ * or not a request is traced (DESIGN.md Sec. 5g).
  *
  * A span is one named interval attributed to a trace:
  *
- *   service.admission_wait   submit -> dequeue in the AdmissionQueue
+ *   service.admission_wait   AdmissionQueue submit -> serve start
+ *                            (near zero for linear-time policies)
  *   service.solve            PolicyRegistry solver run
  *   service.serialize        response serialization
  *   cluster.route_attempt    one router try (tagged backend+outcome)

@@ -1,13 +1,26 @@
 #include "service/admission.hh"
 
-#include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "obs/instruments.hh"
 #include "obs/span.hh"
 
 namespace jitsched {
+
+namespace {
+
+/** Set a refusal on @p promise; the request never reached a lane. */
+void
+refuse(std::promise<ServiceResponse> &promise,
+       const ServiceRequest &req, const char *code,
+       const std::string &message)
+{
+    ServiceResponse resp = makeErrorResponse(req.id, code, message);
+    resp.stats.traceId = req.traceId;
+    promise.set_value(std::move(resp));
+}
+
+} // anonymous namespace
 
 AdmissionQueue::AdmissionQueue(ServiceEngine &engine,
                                AdmissionConfig cfg)
@@ -24,6 +37,11 @@ AdmissionQueue::~AdmissionQueue()
 std::future<ServiceResponse>
 AdmissionQueue::submit(ServiceRequest req)
 {
+    // Unknown policies take the inline lane: the engine answers them
+    // with a structured error at once.
+    const SchedulerPolicy *policy = engine_.registry().find(req.policy);
+    const bool exact = policy != nullptr && policy->exactSearch();
+
     Pending p;
     p.admitted = Clock::now();
     if (req.options.deadlineMs >= 0) {
@@ -31,50 +49,75 @@ AdmissionQueue::submit(ServiceRequest req)
                      std::chrono::milliseconds(req.options.deadlineMs);
         p.has_deadline = true;
     }
-    p.fingerprint = requestFingerprint(req);
     p.req = std::move(req);
     std::future<ServiceResponse> future = p.promise.get_future();
 
     {
         std::lock_guard<std::mutex> lk(mutex_);
         if (stop_) {
-            ServiceResponse resp = makeErrorResponse(
-                p.req.id, errcode::unavailable,
-                "service is shutting down");
-            resp.stats.traceId = p.req.traceId;
-            p.promise.set_value(std::move(resp));
+            refuse(p.promise, p.req, errcode::unavailable,
+                   "service is shutting down");
             return future;
         }
-        if (queue_.size() >= cfg_.maxDepth) {
+        // Only exact searches ever wait; a linear-time request waits
+        // behind nobody, so it is shed only when maxDepth is 0.
+        if ((exact ? queue_.size() : 0) >= cfg_.maxDepth) {
             ++shed_;
             JITSCHED_OBS(
                 obs::ServiceMetrics::get().requestsShed.add());
-            ServiceResponse resp = makeErrorResponse(
-                p.req.id, errcode::resourceExhausted,
-                "admission queue full (" +
-                    std::to_string(cfg_.maxDepth) +
-                    " pending requests); retry later");
-            resp.stats.traceId = p.req.traceId;
-            p.promise.set_value(std::move(resp));
+            refuse(p.promise, p.req, errcode::resourceExhausted,
+                   "admission queue full (" +
+                       std::to_string(cfg_.maxDepth) +
+                       " pending requests); retry later");
             return future;
         }
         ++accepted_;
-        queue_.push_back(std::move(p));
-        JITSCHED_OBS({
-            obs::ServiceMetrics &m = obs::ServiceMetrics::get();
-            m.requestsAccepted.add();
-            m.queueDepth.set(
-                static_cast<std::int64_t>(queue_.size()));
-        });
+        JITSCHED_OBS(
+            obs::ServiceMetrics::get().requestsAccepted.add());
+        if (exact) {
+            queue_.push_back(std::move(p));
+            JITSCHED_OBS(obs::ServiceMetrics::get().queueDepth.set(
+                static_cast<std::int64_t>(queue_.size())));
+        }
     }
-    wake_cv_.notify_one();
+    if (exact)
+        wake_cv_.notify_one();
+    else
+        serve(p);
     return future;
+}
+
+void
+AdmissionQueue::serve(Pending &p)
+{
+    // >=, so a 0 ms deadline expires deterministically in both lanes
+    // rather than depending on whether the clock ticked since submit.
+    if (p.has_deadline && Clock::now() >= p.deadline) {
+        ++expired_;
+        JITSCHED_OBS(obs::ServiceMetrics::get().requestsExpired.add());
+        answer(p, makeErrorResponse(
+                      p.req.id, errcode::deadlineExceeded,
+                      "request waited past its " +
+                          std::to_string(p.req.options.deadlineMs) +
+                          " ms deadline"));
+        return;
+    }
+    // The admission-wait span covers submit() -> this moment (near
+    // zero on the inline lane); the solve span nests inside
+    // engine_.serve().
+    obs::SpanCollector::global().recordBetween(
+        p.req.traceId, "service.admission_wait", p.admitted,
+        Clock::now());
+    ServiceResponse resp = engine_.serve(p.req);
+    ++processed_;
+    JITSCHED_OBS(obs::ServiceMetrics::get().requestsProcessed.add());
+    answer(p, std::move(resp));
 }
 
 void
 AdmissionQueue::answer(Pending &p, ServiceResponse resp)
 {
-    // Error paths (shed, expired, shutdown) build their response via
+    // Error paths (expired, stopped) build their response via
     // makeErrorResponse, which never saw the request's trace id.
     resp.stats.traceId = p.req.traceId;
     resp.stats.queueNs =
@@ -93,66 +136,17 @@ void
 AdmissionQueue::workerLoop()
 {
     for (;;) {
-        std::vector<Pending> batch;
-        {
-            std::unique_lock<std::mutex> lk(mutex_);
-            wake_cv_.wait(lk,
-                          [&] { return stop_ || !queue_.empty(); });
-            if (queue_.empty() && stop_)
-                return;
-            while (!queue_.empty() && batch.size() < cfg_.maxBatch) {
-                batch.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-            }
-            JITSCHED_OBS(obs::ServiceMetrics::get().queueDepth.set(
-                static_cast<std::int64_t>(queue_.size())));
-        }
-
-        if (cfg_.discipline == AdmissionDiscipline::CachedFirst) {
-            // Stable: cache-backed requests first, arrival order
-            // preserved within each class (mirrors the
-            // first-compile-first queues of vm/compile_manager.hh).
-            std::stable_partition(
-                batch.begin(), batch.end(), [&](const Pending &p) {
-                    return served_fingerprints_.count(p.fingerprint) >
-                           0;
-                });
-        }
-
-        for (Pending &p : batch) {
-            if (p.has_deadline && Clock::now() > p.deadline) {
-                {
-                    std::lock_guard<std::mutex> lk(mutex_);
-                    ++expired_;
-                }
-                JITSCHED_OBS(
-                    obs::ServiceMetrics::get().requestsExpired.add());
-                answer(p, makeErrorResponse(
-                              p.req.id, errcode::deadlineExceeded,
-                              "request waited past its " +
-                                  std::to_string(
-                                      p.req.options.deadlineMs) +
-                                  " ms deadline"));
-                continue;
-            }
-            // The admission-wait span covers submit() -> this moment;
-            // the solve span nests inside engine_.serve().
-            obs::SpanCollector::global().recordBetween(
-                p.req.traceId, "service.admission_wait", p.admitted,
-                Clock::now());
-            ServiceResponse resp = engine_.serve(p.req);
-            if (served_fingerprints_.size() >=
-                cfg_.maxServedFingerprints)
-                served_fingerprints_.clear();
-            served_fingerprints_.insert(p.fingerprint);
-            {
-                std::lock_guard<std::mutex> lk(mutex_);
-                ++processed_;
-            }
-            JITSCHED_OBS(
-                obs::ServiceMetrics::get().requestsProcessed.add());
-            answer(p, std::move(resp));
-        }
+        std::unique_lock<std::mutex> lk(mutex_);
+        wake_cv_.wait(lk, [&] { return stop_ || !queue_.empty(); });
+        // stop() takes the queue over and answers it.
+        if (stop_)
+            return;
+        Pending p = std::move(queue_.front());
+        queue_.pop_front();
+        JITSCHED_OBS(obs::ServiceMetrics::get().queueDepth.set(
+            static_cast<std::int64_t>(queue_.size())));
+        lk.unlock();
+        serve(p);
     }
 }
 
@@ -166,14 +160,17 @@ AdmissionQueue::stop()
             return;
         stop_ = true;
         orphans.swap(queue_);
+        JITSCHED_OBS(obs::ServiceMetrics::get().queueDepth.set(0));
     }
     wake_cv_.notify_all();
+    // Answered before the join, so the orphans do not also wait out
+    // the search the worker is finishing.
+    for (Pending &p : orphans)
+        answer(p, makeErrorResponse(
+                      p.req.id, errcode::unavailable,
+                      "service stopped before the request was served"));
     if (worker_.joinable())
         worker_.join();
-    for (Pending &p : orphans)
-        p.promise.set_value(makeErrorResponse(
-            p.req.id, errcode::unavailable,
-            "service stopped before the request was served"));
 }
 
 void
@@ -188,34 +185,6 @@ AdmissionQueue::restart()
     // stop() joined the old worker before clearing any path here, so
     // the thread object is safe to reuse.
     worker_ = std::thread([this] { workerLoop(); });
-}
-
-std::uint64_t
-AdmissionQueue::accepted() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return accepted_;
-}
-
-std::uint64_t
-AdmissionQueue::shed() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return shed_;
-}
-
-std::uint64_t
-AdmissionQueue::expired() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return expired_;
-}
-
-std::uint64_t
-AdmissionQueue::processed() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return processed_;
 }
 
 } // namespace jitsched

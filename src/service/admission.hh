@@ -2,29 +2,37 @@
  * @file
  * Admission control for the scheduling service.
  *
- * Many clients, one solver pipeline: requests are admitted into a
- * bounded queue and served by a single worker that drains them in
- * batches through the shared ServiceEngine (and therefore through
- * the BatchEvaluator/EvalCache — duplicate requests across clients
- * hit the memo table instead of re-solving).
+ * Many clients, one ServiceEngine (and therefore one shared
+ * BatchEvaluator/EvalCache — duplicate requests across clients hit
+ * the memo table instead of re-solving), split into two lanes by the
+ * requested policy's cost class:
  *
- * Overload policy is explicit, in the spirit of the parallel-job
- * scheduling literature the ROADMAP points at (Berg et al.; Kulkarni
- * & Li): when the queue is full the service answers
- * RESOURCE_EXHAUSTED immediately instead of stalling every client,
- * and a request that waited past its deadline is answered
- * DEADLINE_EXCEEDED without burning solver time on an answer nobody
- * is waiting for.
+ *   - linear-time policies (iar, base-only, opt-only, lower-bound,
+ *     jikes, v8) are served inline on the submitting thread — the
+ *     daemon's connection handler — so they never wait behind
+ *     anything;
+ *   - exact searches (SchedulerPolicy::exactSearch(): astar,
+ *     astar-par) go through a bounded queue drained one request at a
+ *     time by a single worker, which keeps one search's node store in
+ *     memory at a time.
  *
- * The queue discipline maps the paper's Sec. 7 insight onto the
- * service (see DESIGN.md): CachedFirst lets requests that will be
- * answered from the cache — the service analogue of cheap,
- * client-unblocking first compiles — overtake full solves.
+ * That split is the paper's Sec. 7 insight one level up (see
+ * DESIGN.md Sec. 5a): a cheap first compile must never wait behind a
+ * long optimizing compile.
+ *
+ * Overload policy is explicit and the same in both lanes, in the
+ * spirit of the parallel-job scheduling literature the ROADMAP points
+ * at (Berg et al.; Kulkarni & Li): a request that would wait behind
+ * maxDepth others is answered RESOURCE_EXHAUSTED immediately instead
+ * of stalling every client, and a request whose deadline has passed
+ * when its turn comes is answered DEADLINE_EXCEEDED without burning
+ * solver time on an answer nobody is waiting for.
  */
 
 #ifndef JITSCHED_SERVICE_ADMISSION_HH
 #define JITSCHED_SERVICE_ADMISSION_HH
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -32,53 +40,26 @@
 #include <future>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 
 #include "service/engine.hh"
 #include "service/protocol.hh"
 
 namespace jitsched {
 
-/** How the admission queue orders a drained batch. */
-enum class AdmissionDiscipline
-{
-    /** Strict arrival order. */
-    Fifo,
-
-    /**
-     * Requests whose fingerprint has been served before jump ahead:
-     * they are near-free cache hits, so serving them first minimizes
-     * mean flow time without meaningfully delaying the full solves —
-     * the Sec. 7 first-compile-first insight transplanted to the
-     * request queue.  Default.
-     */
-    CachedFirst
-};
-
 /** Knobs of the admission queue. */
 struct AdmissionConfig
 {
-    /** Pending requests beyond this depth are shed. */
-    std::size_t maxDepth = 64;
-
-    /** Maximum requests drained into one processing batch. */
-    std::size_t maxBatch = 16;
-
     /**
-     * Cap on the served-fingerprint set behind CachedFirst; when
-     * exceeded the set is reset wholesale.  Keeps a long-running
-     * daemon's memory bounded under diverse workloads at the cost of
-     * briefly forgetting what is cached — a reordering heuristic, so
-     * forgetting is harmless.
+     * A request that would wait behind this many unserved requests
+     * is shed.  Only exact searches ever wait, so in practice this
+     * bounds the exact queue; 0 sheds every request of both lanes.
      */
-    std::size_t maxServedFingerprints = 4096;
-
-    AdmissionDiscipline discipline = AdmissionDiscipline::CachedFirst;
+    std::size_t maxDepth = 64;
 };
 
 /**
- * Bounded admission queue + single worker thread over a
- * ServiceEngine.
+ * Inline lane for linear-time policies + bounded queue and single
+ * worker thread for exact searches, over one ServiceEngine.
  */
 class AdmissionQueue
 {
@@ -94,9 +75,12 @@ class AdmissionQueue
     AdmissionQueue &operator=(const AdmissionQueue &) = delete;
 
     /**
-     * Submit a request.  The future always becomes ready: with the
+     * Submit a request.  A linear-time policy is served before this
+     * returns, on the calling thread; an exact search is queued for
+     * the worker.  The future always becomes ready: with the
      * policy's response, or with a structured RESOURCE_EXHAUSTED /
-     * DEADLINE_EXCEEDED / UNAVAILABLE error.
+     * DEADLINE_EXCEEDED / UNAVAILABLE error carrying the request's
+     * trace id.
      */
     std::future<ServiceResponse> submit(ServiceRequest req);
 
@@ -110,10 +94,14 @@ class AdmissionQueue
      */
     void restart();
 
-    std::uint64_t accepted() const;  ///< requests queued
-    std::uint64_t shed() const;      ///< rejected: queue full
-    std::uint64_t expired() const;   ///< rejected: deadline passed
-    std::uint64_t processed() const; ///< answered by the engine
+    /** Requests admitted, both lanes. */
+    std::uint64_t accepted() const { return accepted_.load(); }
+    /** Rejected: maxDepth requests already waiting. */
+    std::uint64_t shed() const { return shed_.load(); }
+    /** Rejected: deadline passed before the engine ran. */
+    std::uint64_t expired() const { return expired_.load(); }
+    /** Answered by the engine. */
+    std::uint64_t processed() const { return processed_.load(); }
 
   private:
     using Clock = std::chrono::steady_clock;
@@ -125,27 +113,25 @@ class AdmissionQueue
         Clock::time_point admitted;
         Clock::time_point deadline; ///< valid when has_deadline
         bool has_deadline = false;
-        std::uint64_t fingerprint = 0;
     };
 
     void workerLoop();
+    /** Deadline check, then the engine; either way answers @p p. */
+    void serve(Pending &p);
     void answer(Pending &p, ServiceResponse resp);
 
     ServiceEngine &engine_;
     const AdmissionConfig cfg_;
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable wake_cv_;
-    std::deque<Pending> queue_;
+    std::deque<Pending> queue_; ///< exact searches only
     bool stop_ = false;
 
-    std::uint64_t accepted_ = 0;
-    std::uint64_t shed_ = 0;
-    std::uint64_t expired_ = 0;
-    std::uint64_t processed_ = 0;
-
-    /** Fingerprints already served; worker-thread only. */
-    std::unordered_set<std::uint64_t> served_fingerprints_;
+    std::atomic<std::uint64_t> accepted_{0};
+    std::atomic<std::uint64_t> shed_{0};
+    std::atomic<std::uint64_t> expired_{0};
+    std::atomic<std::uint64_t> processed_{0};
 
     std::thread worker_;
 };

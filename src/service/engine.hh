@@ -3,8 +3,10 @@
  * ServiceEngine: one parsed request in, one response out.
  *
  * The engine is the library-call form of the service — the daemon's
- * admission worker calls it, the CLI can call it in-process, and the
- * loopback tests compare daemon responses byte-for-byte against it.
+ * connection handlers (linear-time policies) and admission worker
+ * (exact searches) call it concurrently, the CLI can call it
+ * in-process, and the loopback tests compare daemon responses
+ * byte-for-byte against it.
  * It owns the EvalCache that makes duplicate requests cheap and
  * routes every static-schedule evaluation through a BatchEvaluator on
  * a shared thread pool.

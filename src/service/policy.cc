@@ -147,6 +147,7 @@ class AStarPolicy final : public SchedulerPolicy
 {
   public:
     const char *name() const override { return "astar"; }
+    bool exactSearch() const override { return true; }
     const char *
     describe() const override
     {
@@ -189,6 +190,7 @@ class AStarParPolicy final : public SchedulerPolicy
 {
   public:
     const char *name() const override { return "astar-par"; }
+    bool exactSearch() const override { return true; }
     const char *
     describe() const override
     {

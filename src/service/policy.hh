@@ -133,6 +133,14 @@ class SchedulerPolicy
     virtual const char *describe() const = 0;
 
     /**
+     * Whether the policy is an exact, exponential-time search.  The
+     * admission queue runs exact searches one at a time on its
+     * worker and serves every other policy inline on the caller's
+     * thread (DESIGN.md Sec. 5a).
+     */
+    virtual bool exactSearch() const { return false; }
+
+    /**
      * Run the policy.
      * @param w the workload (validated by the protocol layer)
      * @param opts per-request options

@@ -8,7 +8,9 @@
  * one request frame at a time (everything up to an `end` line),
  * parses it with the non-fatal protocol path, and either answers a
  * parse error immediately or submits the request to the admission
- * queue and relays the response.  Framing is recovered at the `end`
+ * queue and relays the response — a linear-time policy is solved
+ * right there on the handler, only exact searches wait for the
+ * admission worker.  Framing is recovered at the `end`
  * scan, so one malformed request never desynchronizes or kills a
  * connection — the client gets a structured INVALID_ARGUMENT frame
  * and can keep the socket.

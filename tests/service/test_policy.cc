@@ -52,6 +52,18 @@ TEST_F(PolicyTest, BuiltinRegistryHoldsTheEightPolicies)
     EXPECT_EQ(reg.find("no-such-policy"), nullptr);
 }
 
+TEST_F(PolicyTest, OnlyTheSearchesAreExact)
+{
+    // The admission queue's lane split: exact searches queue for its
+    // worker, everything else is served inline.
+    const PolicyRegistry &reg = PolicyRegistry::builtin();
+    for (const std::string &name : reg.names()) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(reg.find(name)->exactSearch(),
+                  name == "astar" || name == "astar-par");
+    }
+}
+
 TEST_F(PolicyTest, StaticPoliciesRespectTheLowerBound)
 {
     const Workload w = figure1Workload();

@@ -25,6 +25,7 @@
 #include "service/engine.hh"
 #include "service/server.hh"
 #include "trace/paper_examples.hh"
+#include "trace/synthetic.hh"
 #include "trace/trace_io.hh"
 
 namespace jitsched {
@@ -318,6 +319,63 @@ TEST_F(LoopbackTest, EightConcurrentClientsMixedTraffic)
     const auto raw = client.callRaw(requestText(probe), &error);
     ASSERT_TRUE(raw.has_value()) << error;
     EXPECT_EQ(stripStats(*raw), directAnswer(probe));
+}
+
+TEST_F(LoopbackTest, LinearTimePolicyDoesNotWaitBehindAnExactSearch)
+{
+    // A 7-function instance that A* takes a few hundred ms to solve
+    // optimally under the default budget.
+    SyntheticConfig scfg;
+    scfg.name = "hol";
+    scfg.numFunctions = 7;
+    scfg.numCalls = 60;
+    scfg.numLevels = 3;
+    scfg.numPhases = 2;
+    scfg.seed = 2;
+    const ServiceRequest slow =
+        makeRequest(41, "astar", generateSynthetic(scfg));
+    const ServiceRequest quick =
+        makeRequest(42, "iar", figure1Workload());
+
+    ServiceClient a, b;
+    std::string error;
+    ASSERT_TRUE(a.connect("127.0.0.1", server_.port(), &error))
+        << error;
+    ASSERT_TRUE(b.connect("127.0.0.1", server_.port(), &error))
+        << error;
+
+    std::atomic<bool> a_answered{false};
+    auto a_reply = std::async(std::launch::async, [&] {
+        std::string a_error;
+        auto raw = a.callRaw(requestText(slow), &a_error);
+        a_answered.store(true);
+        return raw;
+    });
+    // A is in flight once the engine has started on it.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (engine_.requestsServed() == 0 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(engine_.requestsServed(), 1u);
+
+    const auto raw_b = b.callRaw(requestText(quick), &error);
+    const bool b_first = !a_answered.load();
+    const auto raw_a = a_reply.get();
+    ASSERT_TRUE(raw_b.has_value()) << error;
+    ASSERT_TRUE(raw_a.has_value());
+    EXPECT_TRUE(b_first) << "iar was answered only after the astar "
+                            "request it should not wait behind";
+
+    std::istringstream as(*raw_a), bs(*raw_b);
+    const auto resp_a = tryReadResponse(as);
+    const auto resp_b = tryReadResponse(bs);
+    ASSERT_TRUE(resp_a && resp_a->ok) << *raw_a;
+    ASSERT_TRUE(resp_b && resp_b->ok) << *raw_b;
+    EXPECT_LT(resp_b->stats.queueNs * 10, resp_a->stats.solveNs);
+
+    EXPECT_EQ(stripStats(*raw_a), directAnswer(slow));
+    EXPECT_EQ(stripStats(*raw_b), directAnswer(quick));
 }
 
 TEST_F(LoopbackTest, StopIsIdempotentAndRefusesNewWork)
